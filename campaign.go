@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -50,6 +51,13 @@ type Campaign struct {
 	copts    []Option
 	traceDir string
 }
+
+// maxCampaignJobs caps a campaign's grid (cells × seeds × repeats). A
+// spec arrives from outside — over HTTP, from a manifest — and a frontend
+// builds per-job state for the whole grid, so an unbounded product would
+// exhaust memory or overflow int. The cap sits far above the largest
+// sweeps in use (tens of thousands of runs).
+const maxCampaignJobs = 1 << 20
 
 // CampaignOption configures a Campaign at construction time.
 type CampaignOption func(*Campaign) error
@@ -144,6 +152,16 @@ func NewCampaign(opts ...CampaignOption) (*Campaign, error) {
 			return nil, err
 		}
 	}
+	// Multiply one factor at a time, checking against the cap before each
+	// step, so the product can neither overflow nor pass the cap.
+	n := 1
+	for _, k := range []int{len(c.families), len(c.regimes), len(c.engines), c.seeds, c.repeats} {
+		if k > maxCampaignJobs/n {
+			return nil, fmt.Errorf("cliffedge: campaign grid of %d topologies × %d regimes × %d engines × %d seeds × %d repeats exceeds %d jobs",
+				len(c.families), len(c.regimes), len(c.engines), c.seeds, c.repeats, maxCampaignJobs)
+		}
+		n *= k
+	}
 	return c, nil
 }
 
@@ -211,6 +229,9 @@ func WithSeedRange(start int64, n int) CampaignOption {
 	return func(c *Campaign) error {
 		if n < 1 {
 			return fmt.Errorf("cliffedge: seed range needs n ≥ 1, got %d", n)
+		}
+		if start > math.MaxInt64-int64(n-1) {
+			return fmt.Errorf("cliffedge: seed range %d+%d overflows int64", start, n)
 		}
 		c.seed, c.seeds = start, n
 		return nil
@@ -304,6 +325,13 @@ func (c *Campaign) cells() []campaign.CellKey {
 // from an uninterrupted sweep.
 func (c *Campaign) Jobs() []CampaignJob {
 	return campaign.Grid(c.cells(), c.seed, c.seeds, c.repeats)
+}
+
+// NumJobs returns the size of the campaign's grid — len(c.Jobs()) without
+// expanding it. NewCampaign has bounded the product, so it cannot
+// overflow.
+func (c *Campaign) NumJobs() int {
+	return len(c.families) * len(c.regimes) * len(c.engines) * c.seeds * c.repeats
 }
 
 // Workers returns the configured dedicated-pool size (0 = GOMAXPROCS).

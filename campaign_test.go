@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -244,6 +245,7 @@ func TestCampaignOptionValidation(t *testing.T) {
 		WithCampaignEngines("quantum"),
 		WithCampaignEngines(),
 		WithSeedRange(1, 0),
+		WithSeedRange(math.MaxInt64, 2),
 		WithRepeats(0),
 		WithWorkers(0),
 		nil,
@@ -255,6 +257,23 @@ func TestCampaignOptionValidation(t *testing.T) {
 	}
 	if _, err := NewCampaign(); err != nil {
 		t.Errorf("default campaign rejected: %v", err)
+	}
+
+	// The grid cap: exactly maxCampaignJobs is accepted, one more seed is
+	// not, and a product that overflows int is refused before any grid
+	// is built.
+	ring := []CampaignOption{WithTopologies("ring"), WithRegimes("quiescent")}
+	if c, err := NewCampaign(append(ring, WithSeedRange(1, maxCampaignJobs))...); err != nil || c.NumJobs() != maxCampaignJobs {
+		t.Errorf("grid at the cap: %v", err)
+	}
+	for _, extra := range [][]CampaignOption{
+		{WithSeedRange(1, maxCampaignJobs+1)},
+		{WithSeedRange(1, 1<<30), WithRepeats(1 << 30)},
+		{WithSeedRange(1, math.MaxInt), WithRepeats(math.MaxInt)},
+	} {
+		if _, err := NewCampaign(append(ring, extra...)...); err == nil {
+			t.Errorf("oversized grid %d accepted", len(extra))
+		}
 	}
 }
 
@@ -434,8 +453,8 @@ func TestCampaignSpecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("rebuilt campaign expands a different grid: %d vs %d jobs", len(b), len(a))
 	}
-	if len(a) != 3*2*2*5*3 {
-		t.Fatalf("grid has %d jobs, want %d", len(a), 3*2*2*5*3)
+	if len(a) != 3*2*2*5*3 || rebuilt.NumJobs() != len(a) {
+		t.Fatalf("grid has %d jobs (NumJobs %d), want %d", len(a), rebuilt.NumJobs(), 3*2*2*5*3)
 	}
 	if rebuilt.Workers() != 2 {
 		t.Fatalf("workers = %d, want 2", rebuilt.Workers())

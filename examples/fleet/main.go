@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -47,7 +48,7 @@ func main() {
 		defer os.RemoveAll(dir)
 		srv, err := serve.NewServer(dir, serve.Config{
 			Workers: 2,
-			Logf:    func(string, ...any) {}, // keep the example's output clean
+			Logger:  slog.New(slog.DiscardHandler), // keep the example's output clean
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -72,7 +73,7 @@ func main() {
 	co, err := fleet.NewCoordinator(coordDir, fleet.Config{
 		Workers: workerURLs,
 		Shards:  6,
-		Logf:    func(string, ...any) {},
+		Logger:  slog.New(slog.DiscardHandler),
 	})
 	if err != nil {
 		log.Fatal(err)

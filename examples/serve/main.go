@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -42,7 +43,7 @@ func main() {
 	srv, err := serve.NewServer(dir, serve.Config{
 		Workers:        4,
 		ClusterOptions: []cliffedge.Option{cliffedge.WithLiveTick(100 * time.Microsecond)},
-		Logf:           func(string, ...any) {}, // keep the example's output clean
+		Logger:         slog.New(slog.DiscardHandler), // keep the example's output clean
 	})
 	if err != nil {
 		log.Fatal(err)

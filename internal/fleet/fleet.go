@@ -23,7 +23,6 @@ import (
 
 	"cliffedge"
 	"cliffedge/internal/campaign"
-	"cliffedge/internal/obs"
 	"cliffedge/internal/serve"
 	"cliffedge/internal/store"
 )
@@ -66,12 +65,8 @@ type Config struct {
 	// are applied by the coordinator. Defaults to a fresh client.
 	Client *http.Client
 
-	// Logger receives progress records (nil: Logf if set, else discard).
+	// Logger receives progress records (nil: discard).
 	Logger *slog.Logger
-
-	// Logf is the legacy printf sink, kept for tests that pass t.Logf;
-	// when set (and Logger is nil) it is adapted with obs.LogfLogger.
-	Logf func(format string, args ...any)
 
 	// now stubs time for tests.
 	now func() time.Time
@@ -91,11 +86,7 @@ func (c Config) withDefaults() Config {
 		c.Client = &http.Client{}
 	}
 	if c.Logger == nil {
-		if c.Logf != nil {
-			c.Logger = obs.LogfLogger(c.Logf)
-		} else {
-			c.Logger = slog.New(slog.DiscardHandler)
-		}
+		c.Logger = slog.New(slog.DiscardHandler)
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -121,9 +112,9 @@ type worker struct {
 // server-side core of `cliffedged -coordinator`: Submit starts a fleet,
 // NewCoordinator resumes the running ones from disk.
 type Coordinator struct {
-	st      *store.Store
-	cfg     Config
-	started time.Time
+	st   *store.Store
+	cfg  Config
+	surf *serve.Surface
 
 	wmu     sync.Mutex
 	workers []*worker
@@ -150,7 +141,8 @@ func NewCoordinator(dataDir string, cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	co := &Coordinator{st: st, cfg: cfg, started: time.Now(), fleets: make(map[string]*Fleet)}
+	co := &Coordinator{st: st, cfg: cfg, fleets: make(map[string]*Fleet)}
+	co.surf = serve.NewSurface("fleets", st, &Server{co: co})
 	for _, url := range cfg.Workers {
 		co.workers = append(co.workers, &worker{
 			url: strings.TrimRight(url, "/"),
@@ -305,8 +297,18 @@ func (co *Coordinator) startFleet(f *Fleet) {
 	go f.run()
 }
 
-// Fleet returns a submitted or resumed fleet by ID (nil if unknown —
-// fleets finished before the last restart live only in the store).
+// retire drops a fleet whose run loop ended in Finish or Cancel from the
+// live table, handing its event stream to the surface's bounded history
+// first. Stalled fleets, whose manifests stay running, are not retired.
+func (co *Coordinator) retire(f *Fleet) {
+	co.surf.Retire(f.sw)
+	co.mu.Lock()
+	delete(co.fleets, f.ID)
+	co.mu.Unlock()
+}
+
+// Fleet returns a running fleet by ID (nil if unknown or finished —
+// finished fleets live only in the store).
 func (co *Coordinator) Fleet(id string) *Fleet {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -443,9 +445,6 @@ func (f *Fleet) EventsSince(since int64) ([]serve.Event, <-chan struct{}) {
 	return f.sw.EventsSince(since)
 }
 
-// Report snapshots the merged report over everything committed so far.
-func (f *Fleet) Report() *campaign.Report { return f.sw.Report() }
-
 // Shards snapshots the shard table for status documents.
 func (f *Fleet) Shards() []Shard {
 	f.mu.Lock()
@@ -465,12 +464,15 @@ func (f *Fleet) Failure() string {
 }
 
 // Cancel stops the fleet: the run loop cancels the in-flight remote
-// campaigns best-effort and marks the manifest cancelled.
-func (f *Fleet) Cancel() {
+// campaigns best-effort and marks the manifest cancelled. It reports
+// false when the fleet was already cancelled.
+func (f *Fleet) Cancel() bool {
 	f.mu.Lock()
+	first := !f.cancelled
 	f.cancelled = true
 	f.mu.Unlock()
 	f.stop()
+	return first
 }
 
 // Outcome of one drive, reported to the run loop. msgSubmitted is the one
@@ -557,6 +559,7 @@ func (f *Fleet) run() {
 				log.Error("finish failed", "err", err)
 				return
 			}
+			f.co.retire(f)
 			log.Info("fleet done", "jobs", f.sw.Total())
 			return
 		}
@@ -587,7 +590,9 @@ func (f *Fleet) run() {
 				f.cancelRemotes(shards)
 				if err := f.sw.Cancel(); err != nil {
 					log.Error("cancel failed", "err", err)
+					return
 				}
+				f.co.retire(f)
 				log.Info("fleet cancelled")
 			}
 			return

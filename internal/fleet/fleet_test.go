@@ -27,7 +27,7 @@ func newWorker(t *testing.T, wrap func(http.Handler) http.Handler) (*serve.Serve
 	srv, err := serve.NewServer(filepath.Join(t.TempDir(), "w"), serve.Config{
 		Workers:      2,
 		MaxPerClient: 64,
-		Logf:         t.Logf,
+		Logger:       discard,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestFleetByteIdenticalToSingleBox(t *testing.T) {
 		Shards:        4,
 		SyncEvery:     2,
 		WorkerTimeout: 30 * time.Second,
-		Logf:          t.Logf,
+		Logger:        discard,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestFleetWorkerLossReassigns(t *testing.T) {
 		Shards:        6,
 		SyncEvery:     1,
 		WorkerTimeout: 500 * time.Millisecond,
-		Logf:          t.Logf,
+		Logger:        discard,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +255,7 @@ func TestFleetCoordinatorResume(t *testing.T) {
 		PerWorker:     1, // shards run one after the other
 		SyncEvery:     1,
 		WorkerTimeout: 10 * time.Second,
-		Logf:          t.Logf,
+		Logger:        discard,
 	}
 	dir := filepath.Join(t.TempDir(), "coord")
 	co1, err := NewCoordinator(dir, cfg)

@@ -1,13 +1,9 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
-	"net"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,7 +11,6 @@ import (
 
 	"cliffedge"
 	"cliffedge/internal/campaign"
-	"cliffedge/internal/obs"
 	"cliffedge/internal/store"
 )
 
@@ -36,44 +31,29 @@ type Config struct {
 	// campaign.Job.TraceName). Like ClusterOptions it is runtime
 	// configuration: resumed sweeps inherit the server's current setting.
 	PersistTraces bool
-	// Logger receives operational log records (nil: Logf if set, else
-	// slog.Default).
+	// Logger receives operational log records (nil: slog.Default).
 	Logger *slog.Logger
-	// Logf is the legacy printf sink, kept for tests that pass t.Logf;
-	// when set (and Logger is nil) it is adapted into a structured
-	// logger with obs.LogfLogger.
-	Logf func(format string, args ...any)
 	// now stamps campaign creation times (tests override; nil: time.Now).
 	now func() time.Time
 }
 
-// Server is the campaign service: REST submission and lifecycle, SSE
-// progress streaming, persistent sweeps resumed at startup. Create one
-// with NewServer, mount Handler, and Shutdown on exit — a SIGKILL
-// instead merely means the next start resumes every running sweep.
+// Server is the campaign service: persistent sweeps resumed at startup,
+// fair-shared over one worker pool, behind the campaign HTTP surface
+// under /api/v1/campaigns. Create one with NewServer, mount Handler, and
+// Shutdown on exit — a SIGKILL instead merely means the next start
+// resumes every running sweep.
 type Server struct {
-	st      *store.Store
-	sched   *Scheduler
-	cfg     Config
-	log     *slog.Logger
-	started time.Time
+	st    *store.Store
+	sched *Scheduler
+	cfg   Config
+	log   *slog.Logger
+	surf  *Surface
 
 	mu     sync.Mutex
 	sweeps map[string]*Sweep // active (running) sweeps only
 	owner  map[string]string // campaign ID → client, active only
-	// history retains the full event stream of recently finished
-	// campaigns (bounded FIFO), so a subscriber that arrives after — or
-	// reconnects across — completion still replays every event exactly
-	// once. Campaigns finished before the last restart stream a single
-	// synthesized terminal event instead.
-	history    map[string][]Event
-	historyIDs []string
-	nextID     int
+	nextID int
 }
-
-// historyLimit bounds how many finished campaigns keep their event
-// streams in memory.
-const historyLimit = 64
 
 // NewServer opens the store, resumes every campaign whose manifest is
 // still "running" (the crash/shutdown leftovers) and starts the shared
@@ -89,25 +69,19 @@ func NewServer(dataDir string, cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	logger := cfg.Logger
-	if logger == nil {
-		if cfg.Logf != nil {
-			logger = obs.LogfLogger(cfg.Logf)
-		} else {
-			logger = slog.Default()
-		}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.Default()
 	}
 	s := &Server{
-		st:      st,
-		sched:   NewScheduler(cfg.Workers),
-		cfg:     cfg,
-		log:     logger,
-		started: time.Now(),
-		sweeps:  make(map[string]*Sweep),
-		owner:   make(map[string]string),
-		history: make(map[string][]Event),
-		nextID:  1,
+		st:     st,
+		sched:  NewScheduler(cfg.Workers),
+		cfg:    cfg,
+		log:    cfg.Logger,
+		sweeps: make(map[string]*Sweep),
+		owner:  make(map[string]string),
+		nextID: 1,
 	}
+	s.surf = NewSurface("campaigns", st, s)
 	manifests, err := st.List()
 	if err != nil {
 		s.sched.Stop()
@@ -126,7 +100,7 @@ func NewServer(dataDir string, cfg Config) (*Server, error) {
 			if sw, err = Open(st, m.ID, extra...); err == nil {
 				s.log.Info("resumed campaign", "campaign", m.ID,
 					"completed", sw.Completed(), "total", sw.Total())
-				s.submit(sw, m.Client)
+				s.start(sw, m.Client)
 				continue
 			}
 		}
@@ -197,9 +171,9 @@ func (s *Server) Shutdown() {
 	s.sweeps = make(map[string]*Sweep)
 }
 
-// submit registers the sweep and enters its remaining jobs into the
+// start registers the sweep and enters its remaining jobs into the
 // fair-share ring.
-func (s *Server) submit(sw *Sweep, client string) {
+func (s *Server) start(sw *Sweep, client string) {
 	s.mu.Lock()
 	s.sweeps[sw.ID] = sw
 	s.owner[sw.ID] = client
@@ -228,128 +202,22 @@ func (s *Server) submit(sw *Sweep, client string) {
 				"status", map[bool]string{false: "done", true: "cancelled"}[cancelled],
 				"completed", sw.Completed(), "total", sw.Total())
 			mActiveSweeps.Add(-1)
-			evs, _ := sw.EventsSince(0)
+			s.surf.Retire(sw)
 			s.mu.Lock()
 			delete(s.sweeps, sw.ID)
 			delete(s.owner, sw.ID)
-			s.history[sw.ID] = evs
-			s.historyIDs = append(s.historyIDs, sw.ID)
-			if len(s.historyIDs) > historyLimit {
-				delete(s.history, s.historyIDs[0])
-				s.historyIDs = s.historyIDs[1:]
-			}
 			s.mu.Unlock()
 			sw.Close()
 		},
 	})
 }
 
-// Handler returns the service's HTTP routes, wrapped in the per-route
-// request counter/latency middleware. /healthz answers 200 to any probe
-// that only reads the status code, and carries the JSON status document
-// for anyone who reads the body; /metrics is the Prometheus scrape
-// endpoint of the whole process (every instrumented layer, not just the
-// server).
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.Handle("GET /metrics", obs.Handler())
-	mux.HandleFunc("POST /api/v1/campaigns", s.handleSubmit)
-	mux.HandleFunc("GET /api/v1/campaigns", s.handleList)
-	mux.HandleFunc("GET /api/v1/campaigns/{id}", s.handleStatus)
-	mux.HandleFunc("DELETE /api/v1/campaigns/{id}", s.handleCancel)
-	mux.HandleFunc("GET /api/v1/campaigns/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /api/v1/campaigns/{id}/cells", s.handleCells)
-	mux.HandleFunc("GET /api/v1/campaigns/{id}/results", s.handleResults)
-	mux.HandleFunc("GET /api/v1/campaigns/{id}/report", s.handleReportJSON)
-	mux.HandleFunc("GET /api/v1/campaigns/{id}/report.json", s.handleReportJSON)
-	mux.HandleFunc("GET /api/v1/campaigns/{id}/report.csv", s.handleReportCSV)
-	return obs.InstrumentHTTP(mux)
-}
+// Handler returns the campaign HTTP surface over this server.
+func (s *Server) Handler() http.Handler { return s.surf.Handler() }
 
-// handleHealthz serves the JSON status document: uptime, build info,
-// scheduler occupancy. Plain liveness probes keep reading just the 200.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	active := len(s.sweeps)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":           "ok",
-		"uptime_seconds":   int64(time.Since(s.started).Seconds()),
-		"build":            obs.BuildInfo(),
-		"active_campaigns": active,
-		"queued_jobs":      s.sched.Queued(),
-		"workers":          s.sched.Workers(),
-	})
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-// clientID identifies the submitting client for fair admission: the
-// X-Client-ID header when present, else the connection's host address.
-func clientID(r *http.Request) string {
-	if id := r.Header.Get("X-Client-ID"); id != "" {
-		return id
-	}
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
-}
-
-// campaignInfo is the status document of one campaign.
-type campaignInfo struct {
-	ID        string    `json:"id"`
-	Client    string    `json:"client,omitempty"`
-	Created   time.Time `json:"created"`
-	Status    string    `json:"status"`
-	Completed int       `json:"completed"`
-	Total     int       `json:"total"`
-}
-
-func (s *Server) info(m store.Manifest) campaignInfo {
-	info := campaignInfo{
-		ID: m.ID, Client: m.Client, Created: m.Created, Status: m.Status,
-	}
-	s.mu.Lock()
-	sw := s.sweeps[m.ID]
-	s.mu.Unlock()
-	if sw != nil {
-		info.Completed, info.Total = sw.Completed(), sw.Total()
-	} else if m.Status == store.StatusDone {
-		// Finished campaigns completed their whole grid by definition;
-		// rebuild the count from the spec rather than reopening the log.
-		var spec cliffedge.CampaignSpec
-		if json.Unmarshal(m.Spec, &spec) == nil {
-			if camp, err := cliffedge.NewCampaignFromSpec(spec); err == nil {
-				info.Total = len(camp.Jobs())
-				info.Completed = info.Total
-			}
-		}
-	}
-	return info
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec cliffedge.CampaignSpec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
-		return
-	}
-	client := clientID(r)
+// Submit admits spec for client under the per-client cap, allocates the
+// next c%06d ID, persists the campaign and schedules it (Backend).
+func (s *Server) Submit(spec cliffedge.CampaignSpec, client string) (*Sweep, map[string]any, error) {
 	s.mu.Lock()
 	active := 0
 	for _, owner := range s.owner {
@@ -360,262 +228,71 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if active >= s.cfg.MaxPerClient {
 		s.mu.Unlock()
 		mAdmissionRejects.Inc()
-		httpError(w, http.StatusTooManyRequests,
-			"client %q already has %d active campaigns (limit %d)", client, active, s.cfg.MaxPerClient)
-		return
+		return nil, nil, fmt.Errorf("%w: client %q already has %d active campaigns (limit %d)",
+			errBusy, client, active, s.cfg.MaxPerClient)
 	}
 	id := fmt.Sprintf("c%06d", s.nextID)
 	s.nextID++
 	// Reserve the owner slot in the same critical section as the admission
-	// check, so N racing submits from one client cannot all pass it.
+	// check, so N racing submits from one client cannot all pass it; every
+	// exit short of a started sweep gives it back.
 	s.owner[id] = client
 	s.mu.Unlock()
+	started := false
+	defer func() {
+		if !started {
+			s.mu.Lock()
+			delete(s.owner, id)
+			s.mu.Unlock()
+		}
+	}()
 
 	now := time.Now
 	if s.cfg.now != nil {
 		now = s.cfg.now
 	}
 	extra, err := s.sweepOptions(id)
-	var sw *Sweep
-	if err == nil {
-		sw, err = Create(s.st, id, client, now().UTC(), spec, extra...)
-	}
 	if err != nil {
-		s.mu.Lock()
-		delete(s.owner, id)
-		s.mu.Unlock()
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, nil, err
+	}
+	sw, err := Create(s.st, id, client, now().UTC(), spec, extra...)
+	if err != nil {
+		return nil, nil, err
 	}
 	s.log.Info("campaign submitted", "campaign", id, "client", client, "jobs", sw.Total())
-	s.submit(sw, client)
-	writeJSON(w, http.StatusCreated, map[string]any{
-		"id": id, "status": store.StatusRunning, "total": sw.Total(),
-	})
+	s.start(sw, client)
+	started = true
+	return sw, nil, nil
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	manifests, err := s.st.List()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
+// Cancel aborts a running campaign's scheduler task (Backend).
+func (s *Server) Cancel(id string) bool {
+	if !s.sched.Cancel(id) {
+		return false
 	}
-	infos := make([]campaignInfo, 0, len(manifests))
-	for _, m := range manifests {
-		infos = append(infos, s.info(m))
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"campaigns": infos})
+	s.log.Info("cancel requested", "campaign", id)
+	return true
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	m, err := s.st.Manifest(id)
-	if err != nil {
-		httpError(w, http.StatusNotFound, "no campaign %q", id)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.info(m))
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.sched.Cancel(id) {
-		s.log.Info("cancel requested", "campaign", id)
-		writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": "cancelling"})
-		return
-	}
-	if _, err := s.st.Manifest(id); err != nil {
-		httpError(w, http.StatusNotFound, "no campaign %q", id)
-		return
-	}
-	httpError(w, http.StatusConflict, "campaign %q is not running", id)
-}
-
-func (s *Server) handleReportJSON(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if data, err := s.st.Report(id); err == nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-		return
-	}
+// Sweep returns the running campaign with this ID, or nil (Backend).
+func (s *Server) Sweep(id string) *Sweep {
 	s.mu.Lock()
-	sw := s.sweeps[id]
-	s.mu.Unlock()
-	if sw == nil {
-		httpError(w, http.StatusNotFound, "no report for campaign %q", id)
-		return
-	}
-	// Running sweep: a partial snapshot over everything committed so far.
-	w.Header().Set("Content-Type", "application/json")
-	sw.Report().WriteJSON(w)
+	defer s.mu.Unlock()
+	return s.sweeps[id]
 }
 
-func (s *Server) handleReportCSV(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rep, err := s.loadReport(id)
-	if err != nil {
-		httpError(w, http.StatusNotFound, "no report for campaign %q", id)
-		return
-	}
-	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-	rep.WriteCSV(w)
-}
+// Describe adds nothing: a campaign's status document is the common one
+// (Backend).
+func (s *Server) Describe(*Info, bool) {}
 
-// loadReport materialises the campaign's report: the persisted one for
-// finished campaigns (decoded — the Hist JSON codec makes that lossless),
-// a live snapshot for running ones.
-func (s *Server) loadReport(id string) (*campaign.Report, error) {
-	if data, err := s.st.Report(id); err == nil {
-		var rep campaign.Report
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return nil, err
-		}
-		return &rep, nil
-	}
+// Health reports scheduler occupancy for /healthz (Backend).
+func (s *Server) Health() map[string]any {
 	s.mu.Lock()
-	sw := s.sweeps[id]
+	active := len(s.sweeps)
 	s.mu.Unlock()
-	if sw == nil {
-		return nil, fmt.Errorf("no report")
+	return map[string]any{
+		"active_campaigns": active,
+		"queued_jobs":      s.sched.Queued(),
+		"workers":          s.sched.Workers(),
 	}
-	return sw.Report(), nil
-}
-
-// handleCells serves the per-cell reports — the full report's Cells and
-// Totals sections without the locality fit. For a running sweep this is a
-// live partial over everything committed so far (the aggregator maintains
-// the cell statistics online, so the snapshot is free); for a finished one
-// it is the persisted report's cell table. Dashboards poll it to watch a
-// sweep converge cell by cell, and a fleet coordinator folds the workers'
-// partials into merged ones.
-func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rep, err := s.loadReport(id)
-	if err != nil {
-		httpError(w, http.StatusNotFound, "no campaign %q", id)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"id": id, "cells": rep.Cells, "totals": rep.Totals,
-	})
-}
-
-// handleResults serves the campaign's raw result log — the CRC32-framed
-// segment file, byte for byte. This is the fleet coordinator's merge
-// feed: the framing makes the transfer self-validating (a torn tail, or a
-// response truncated by a dying connection, decodes to a clean prefix on
-// the client), and records stream without re-encoding. Reading while the
-// sweep is appending is safe for the same reason: appends are single
-// write calls, so the snapshot ends in at most one partial frame.
-func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	path, err := s.st.File(id, "results.log")
-	if err != nil {
-		httpError(w, http.StatusNotFound, "no campaign %q", id)
-		return
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		httpError(w, http.StatusNotFound, "no results for campaign %q", id)
-		return
-	}
-	defer f.Close()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	io.Copy(w, f)
-}
-
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	var since int64
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		since, _ = strconv.ParseInt(v, 10, 64)
-	} else if v := r.URL.Query().Get("since"); v != "" {
-		since, _ = strconv.ParseInt(v, 10, 64)
-	}
-	if since < 0 { // unparseable or hostile cursors read from the start
-		since = 0
-	}
-	if since > 0 {
-		mSSEReplays.Inc()
-	}
-	mSSESubscribers.Add(1)
-	defer mSSESubscribers.Add(-1)
-
-	s.mu.Lock()
-	sw := s.sweeps[id]
-	hist, inHistory := s.history[id]
-	s.mu.Unlock()
-
-	if sw == nil {
-		if !inHistory {
-			// Unknown, or finished before the last restart: stream the
-			// terminal state from the manifest (or 404).
-			m, err := s.st.Manifest(id)
-			if err != nil {
-				httpError(w, http.StatusNotFound, "no campaign %q", id)
-				return
-			}
-			hist = []Event{{Seq: since + 1, Type: m.Status}}
-			if m.Status == store.StatusDone {
-				if data, err := s.st.Report(id); err == nil {
-					hist[0].Report = data
-				}
-			}
-		}
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		for _, ev := range hist {
-			if ev.Seq <= since {
-				continue
-			}
-			if err := WriteSSE(w, ev); err != nil {
-				return
-			}
-		}
-		flusher.Flush()
-		return
-	}
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
-	ctx := r.Context()
-	for {
-		events, wake := sw.EventsSince(since)
-		for _, ev := range events {
-			if err := WriteSSE(w, ev); err != nil {
-				return
-			}
-			since = ev.Seq
-			if ev.Terminal() {
-				flusher.Flush()
-				return
-			}
-		}
-		flusher.Flush()
-		select {
-		case <-wake:
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
-// WriteSSE frames one event: the seq as the SSE id (reconnect cursor),
-// the type as the SSE event name, the JSON document as data. The fleet
-// coordinator's event streams share the framing, so one SSE client
-// follows both.
-func WriteSSE(w io.Writer, ev Event) error {
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
-	return err
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -23,7 +24,7 @@ func newTestServer(t *testing.T, dir string, workers, maxPerClient int) (*Server
 	srv, err := NewServer(dir, Config{
 		Workers:      workers,
 		MaxPerClient: maxPerClient,
-		Logf:         t.Logf,
+		Logger:       slog.New(slog.DiscardHandler),
 		now:          func() time.Time { return testCreated },
 	})
 	if err != nil {
@@ -377,7 +378,7 @@ func TestServerCancelLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var info campaignInfo
+	var info Info
 	json.NewDecoder(resp.Body).Decode(&info)
 	resp.Body.Close()
 	if info.Status != "cancelled" {
@@ -408,7 +409,7 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	var list struct {
-		Campaigns []campaignInfo `json:"campaigns"`
+		Campaigns []Info `json:"campaigns"`
 	}
 	json.NewDecoder(resp.Body).Decode(&list)
 	resp.Body.Close()

@@ -2,7 +2,8 @@
 // campaign to its persisted state (manifest, append-only result log,
 // final report) and a seq-numbered event history; a Scheduler fair-shares
 // a single worker pool across any number of concurrent sweeps; a Server
-// exposes both over HTTP with SSE progress streaming. Because every run
+// runs them behind a Surface, the campaign HTTP API with SSE progress
+// streaming that the fleet coordinator serves too. Because every run
 // is a pure function of its job, the persisted result multiset fully
 // determines the report — a sweep resumed after a crash merges on-disk
 // and re-run results into a report byte-identical to an uninterrupted
